@@ -60,8 +60,6 @@ def _estimator(
     metrics: MetricsRegistry | None = None,
 ) -> CostEstimator:
     sample = dummy_uniform_sample(fn.arity, sample_size, seed=3)
-    # E21 measures the *per-plan* scalar paths; the batched frontier
-    # path has its own benchmark (E23, bench_frontier.py).
     return CostEstimator(
         sample,
         fn,
@@ -70,14 +68,13 @@ def _estimator(
         model,
         vectorized=vectorized,
         verify=False,
-        frontier=False,
         metrics=metrics,
     )
 
 
 def _timed_batch(est: CostEstimator, panel: list[tuple[float, ...]]):
     start = time.perf_counter()
-    costs = est.estimate_many(panel)
+    costs = [est.estimate(plan) for plan in panel]
     return time.perf_counter() - start, costs
 
 
@@ -180,7 +177,8 @@ def test_kernel_throughput(benchmark, report):
 
     def _run():
         est._cache.clear()
-        est.estimate_many(panel)
+        for plan in panel:
+            est.estimate(plan)
 
     benchmark.pedantic(_run, rounds=3, iterations=1)
 

@@ -57,6 +57,8 @@ class NC(TopKAlgorithm):
     ):
         if plan is not None and planner is not None:
             raise ValueError("pass either a fixed plan or a planner, not both")
+        if sample_size < 1:
+            raise ValueError(f"sample_size must be >= 1, got {sample_size}")
         self.plan = plan
         self.planner = planner
         self.optimizer = optimizer if optimizer is not None else NCOptimizer()

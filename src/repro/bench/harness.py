@@ -111,15 +111,12 @@ def nc_with_dummy_planner(
     sample_size: int = 100,
     seed: int = 0,
     vectorized: bool | str = "auto",
-    workers: Optional[int] = None,
-    frontier: bool | str = "auto",
     clock: Optional[Callable[[], float]] = None,
 ) -> NC:
     """The paper's worst-case NC: optimize on dummy uniform samples.
 
-    ``vectorized``, ``workers`` and ``frontier`` configure the plan-cost
-    estimator's execution path (see
-    :class:`~repro.optimizer.CostEstimator`); they never change the
+    ``vectorized`` configures the plan-cost estimator's execution path
+    (see :class:`~repro.optimizer.CostEstimator`); it never changes the
     chosen plan, only how fast it is found. ``clock`` (e.g.
     ``time.perf_counter``) opts into per-phase wall-time reporting in
     plan notes.
@@ -127,8 +124,6 @@ def nc_with_dummy_planner(
     optimizer = NCOptimizer(
         scheme=scheme,
         vectorized=vectorized,
-        workers=workers,
-        frontier=frontier,
         clock=clock,
     )
     return NC(optimizer=optimizer, sample_size=sample_size, seed=seed)
@@ -141,8 +136,6 @@ def nc_with_true_sample_planner(
     seed: int = 0,
     min_sample_k: Optional[int] = None,
     vectorized: bool | str = "auto",
-    workers: Optional[int] = None,
-    frontier: bool | str = "auto",
     clock: Optional[Callable[[], float]] = None,
 ) -> NC:
     """NC planning on a true-distribution sample of the scenario's data.
@@ -153,8 +146,6 @@ def nc_with_true_sample_planner(
     optimizer = NCOptimizer(
         scheme=scheme,
         vectorized=vectorized,
-        workers=workers,
-        frontier=frontier,
         clock=clock,
     )
     sample = sample_from_dataset(scenario.dataset, sample_size, seed=seed)

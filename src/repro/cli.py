@@ -66,6 +66,7 @@ from repro.algorithms import (
 from repro.bench.harness import compare, nc_with_dummy_planner
 from repro.bench.reporting import ascii_table
 from repro.bench.scenarios import matrix_scenarios, s1, s2, s3, travel_q1, travel_q2
+from repro.data.dataset import Dataset
 from repro.data.generators import uniform
 from repro.exceptions import ReproError
 from repro.faults import (
@@ -140,6 +141,17 @@ def _retry_policy(args) -> RetryPolicy:
     """Translate the fault-related CLI flags into a retry policy."""
     try:
         return RetryPolicy(max_attempts=args.retry_max, timeout=args.timeout)
+    except ValueError as exc:
+        raise ReproError(str(exc)) from exc
+
+
+def _synthetic_pool(args, m: int) -> tuple[Dataset, CostModel]:
+    """The uniform dataset and cost model named by ``--n/--seed/--cs/--cr``."""
+    try:
+        return (
+            uniform(args.n, m, seed=args.seed),
+            CostModel.uniform(m, cs=args.cs, cr=args.cr),
+        )
     except ValueError as exc:
         raise ReproError(str(exc)) from exc
 
@@ -237,30 +249,24 @@ def _cmd_optimize(args) -> int:
     import time
 
     on_off = {"auto": "auto", "on": True, "off": False}
-    vectorized: bool | str = on_off[args.vectorized]
-    frontier: bool | str = on_off[args.frontier]
-    nc = nc_with_dummy_planner(
-        scheme=_SCHEMES[scheme_key](),
-        sample_size=args.sample_size,
-        vectorized=vectorized,
-        workers=args.workers,
-        frontier=frontier,
-        clock=time.perf_counter,
-    )
+    try:
+        nc = nc_with_dummy_planner(
+            scheme=_SCHEMES[scheme_key](),
+            sample_size=args.sample_size,
+            vectorized=on_off[args.vectorized],
+            clock=time.perf_counter,
+        )
+    except ValueError as exc:
+        raise ReproError(str(exc)) from exc
     plan = nc.resolve_plan(scenario.middleware(), scenario.fn, scenario.k)
     kernel_runs = plan.notes.get("kernel_runs", 0)
     reference_runs = plan.notes.get("reference_runs", 0)
-    frontier_runs = plan.notes.get("frontier_runs", 0)
-    frontier_batches = plan.notes.get("frontier_batches", 0)
-    frontier_fallbacks = plan.notes.get("frontier_fallbacks", 0)
-    pool_failures = plan.notes.get("pool_failures", 0)
     print(f"scenario : {scenario.name}  ({scenario.description})")
     print(f"costs    : {scenario.cost_model.describe()}")
     print(f"plan     : {plan.describe()}")
     print(
         f"overhead : {plan.estimator_runs} estimator simulation runs "
-        f"({kernel_runs} kernel, {reference_runs} reference, "
-        f"{frontier_runs} frontier in {frontier_batches} batch(es))"
+        f"({kernel_runs} kernel, {reference_runs} reference)"
     )
     phase_seconds = plan.notes.get("phase_seconds")
     if isinstance(phase_seconds, dict) and phase_seconds:
@@ -268,20 +274,6 @@ def _cmd_optimize(args) -> int:
             f"{name}={seconds:.4f}s" for name, seconds in phase_seconds.items()
         )
         print(f"timing   : {rendered}")
-    if frontier_fallbacks:
-        print(
-            f"warning  : frontier batch path abandoned {frontier_fallbacks} "
-            "time(s); plan costing degraded to per-plan simulation "
-            "(results unaffected)",
-            file=sys.stderr,
-        )
-    if pool_failures:
-        print(
-            f"warning  : estimator worker pool failed {pool_failures} "
-            "time(s); plan costing degraded to serial simulation "
-            "(results unaffected)",
-            file=sys.stderr,
-        )
     return 0
 
 
@@ -315,9 +307,7 @@ def _write_observability(
 
 def _cmd_query(args) -> int:
     parsed = parse_query(args.text)
-    m = len(parsed.predicates)
-    data = uniform(args.n, m, seed=args.seed)
-    model = CostModel.uniform(m, cs=args.cs, cr=args.cr)
+    data, model = _synthetic_pool(args, len(parsed.predicates))
     trace = TraceRecorder() if args.trace else None
     metrics = MetricsRegistry() if args.metrics_out else None
     if args.fault_rate != 0.0 or args.timeout is not None:
@@ -376,9 +366,7 @@ def _cmd_serve(args) -> int:
     schema = [name.strip() for name in args.schema.split(",") if name.strip()]
     if not schema:
         raise ReproError("--schema must name at least one predicate")
-    m = len(schema)
-    data = uniform(args.n, m, seed=args.seed)
-    model = CostModel.uniform(m, cs=args.cs, cr=args.cr)
+    data, model = _synthetic_pool(args, len(schema))
     retry_policy = None
     if args.fault_rate != 0.0 or args.timeout is not None:
         try:
@@ -624,19 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="plan-cost estimator path: fast kernel with spot-checks "
         "(auto), kernel only (on), or reference engine only (off)",
-    )
-    opt_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="process-pool size for batched plan costing (default: serial)",
-    )
-    opt_parser.add_argument(
-        "--frontier",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="batch plan costing: plans-as-columns frontier kernel with "
-        "spot-checks (auto), forced (on), or per-plan only (off)",
     )
 
     query_parser = sub.add_parser("query", help="execute an SQL-like query")

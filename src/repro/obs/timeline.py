@@ -125,33 +125,25 @@ def _render_lane(
 
 
 def _optimizer_summaries(events: Sequence[dict]) -> list[str]:
-    """One line per completed optimizer run carrying timing/batch data.
+    """One line per completed optimizer run carrying phase timings.
 
     The optimizer's ``done`` phase event reports per-phase wall time
-    (when a clock was injected) and the frontier batch counters; showing
-    them in the timeline keeps optimization overhead visible next to
-    the execution it paid for.
+    (when a clock was injected); showing it in the timeline keeps
+    optimization overhead visible next to the execution it paid for.
     """
     lines: list[str] = []
     for record in events:
         if record.get("event") != "phase" or record.get("phase") != "done":
             continue
-        parts: list[str] = []
         seconds = record.get("phase_seconds")
         if isinstance(seconds, dict) and seconds:
-            parts.append(
-                "phases "
+            lines.append(
+                "  optimizer: phases "
                 + " ".join(
                     f"{name}={float(value):.4f}s"
                     for name, value in seconds.items()
                 )
             )
-        for key in ("frontier_runs", "frontier_batches", "frontier_fallbacks"):
-            value = record.get(key)
-            if isinstance(value, (int, float)) and value:
-                parts.append(f"{key}={int(value)}")
-        if parts:
-            lines.append("  optimizer: " + ", ".join(parts))
     return lines
 
 

@@ -34,41 +34,19 @@ Results are memoized per ``(Delta, H)`` in a bounded LRU so search
 schemes revisiting a configuration (hill-climbing does constantly) pay
 once; the run counter still reports *distinct* simulation runs, the
 optimization-overhead metric of the scheme-comparison experiment.
-:meth:`CostEstimator.estimate_frontier` (and the older alias
-:meth:`~CostEstimator.estimate_many`) accepts whole candidate frontiers
-at once -- semantically a plain loop (identical costs, cache behaviour,
-and run counts), but it lets the estimator fan uncached simulations out
-to a process pool when ``workers`` is set, or -- the default fast path
--- cost the whole deduplicated batch in one plans-as-columns pass on the
-:class:`~repro.optimizer.frontier.FrontierKernel`.
-
-The frontier path has the same trust ladder as the scalar kernel:
-``frontier="auto"`` (default) spot-checks the first few frontier
-outcomes against fresh :meth:`SampleIndex.simulate` runs and permanently
-falls back to the serial path on any disagreement; ``frontier=True``
-turns disagreement into :class:`~repro.exceptions.KernelMismatchError`;
-``frontier=False`` never batches. Every abandonment is counted
-(:attr:`CostEstimator.frontier_fallbacks`, with a labelled
-``repro_estimator_frontier_fallbacks_total`` metric reason --
-``unsupported_fn``, ``verify_mismatch``, ``internal_error``), never
-silent.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from repro.core.framework import FrameworkNC
 from repro.core.policies import SRGPolicy
 from repro.data.dataset import Dataset
 from repro.exceptions import KernelMismatchError, ReproError
 from repro.obs.metrics import MetricsRegistry
-from repro.optimizer.frontier import FrontierKernel
-from repro.optimizer.kernel import SampleIndex, SimulationCounts
+from repro.optimizer.kernel import SampleIndex
 from repro.scoring.functions import ScoringFunction
 from repro.sources.cost import CostModel
 from repro.sources.middleware import Middleware
@@ -82,47 +60,6 @@ PlanKey = tuple[tuple[float, ...], tuple[int, ...]]
 #: How many distinct simulations ``vectorized="auto"`` cross-checks
 #: against the reference engine before trusting the kernel outright.
 AUTO_VERIFY_RUNS = 3
-
-#: Minimum number of uncached simulations in one batch before a process
-#: pool is worth its serialization overhead.
-_PARALLEL_MIN_BATCH = 8
-
-#: Minimum number of uncached simulations in one batch before the
-#: plans-as-columns frontier kernel beats the per-plan scalar kernel
-#: (lockstep wall-clock is governed by the slowest plan, so tiny batches
-#: pay dispatch overhead for nothing).
-FRONTIER_MIN_BATCH = 16
-
-#: How many frontier outcomes ``frontier="auto"`` cross-checks against
-#: fresh scalar-kernel runs before trusting the batch path outright.
-FRONTIER_VERIFY_RUNS = 3
-
-# Worker-process state for the parallel fan-out: one SampleIndex per
-# worker, built once by the pool initializer.
-_worker_index: Optional[SampleIndex] = None
-_worker_fn: Optional[ScoringFunction] = None
-_worker_k: int = 0
-
-
-def _pool_init(
-    matrix: np.ndarray,
-    cost_model: CostModel,
-    no_wild_guesses: bool,
-    fn: ScoringFunction,
-    sample_k: int,
-) -> None:
-    global _worker_index, _worker_fn, _worker_k
-    _worker_index = SampleIndex(
-        Dataset(matrix), cost_model, no_wild_guesses=no_wild_guesses
-    )
-    _worker_fn = fn
-    _worker_k = sample_k
-
-
-def _pool_simulate(plan: PlanKey) -> float:
-    assert _worker_index is not None and _worker_fn is not None
-    depths, schedule = plan
-    return _worker_index.simulate_cost(_worker_fn, _worker_k, depths, schedule)
 
 
 class CostEstimator:
@@ -144,25 +81,9 @@ class CostEstimator:
         cache_size: LRU capacity of the plan-cost memo (``None`` =
             unbounded, the pre-bounding behaviour; serving processes
             should keep the default cap).
-        workers: when >= 2, :meth:`estimate_many` fans large uncached
-            batches out to a process pool of this size. Simulation is
-            deterministic, so worker count never changes results. A pool
-            that breaks (unpicklable scoring function, no fork support)
-            degrades to serial simulation -- counted in
-            :attr:`pool_failures` and warned about once, never silent.
         metrics: optional :class:`~repro.obs.MetricsRegistry` fed with
-            run/cache/fallback/pool-failure counters
-            (``repro_estimator_*``, docs/OBSERVABILITY.md).
-        frontier: ``True`` | ``False`` | ``"auto"`` -- whether large
-            deduplicated batches are costed in one pass on the
-            plans-as-columns :class:`~repro.optimizer.frontier.\
-FrontierKernel` instead of plan-by-plan. ``"auto"`` (default)
-            spot-verifies the first :data:`FRONTIER_VERIFY_RUNS` frontier
-            outcomes against the scalar kernel and permanently falls
-            back on disagreement; ``True`` raises
-            :class:`~repro.exceptions.KernelMismatchError` instead;
-            ``False`` disables batching. Abandonments are counted in
-            :attr:`frontier_fallbacks` with a labelled metric reason.
+            run/cache/fallback counters (``repro_estimator_*``,
+            docs/OBSERVABILITY.md).
     """
 
     def __init__(
@@ -178,9 +99,7 @@ FrontierKernel` instead of plan-by-plan. ``"auto"`` (default)
         vectorized: Union[bool, str] = "auto",
         verify: Optional[bool] = None,
         cache_size: Optional[int] = 65536,
-        workers: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
-        frontier: Union[bool, str] = "auto",
     ):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -194,14 +113,8 @@ FrontierKernel` instead of plan-by-plan. ``"auto"`` (default)
             raise ValueError(
                 f'vectorized must be True, False or "auto", got {vectorized!r}'
             )
-        if frontier not in (True, False, "auto"):
-            raise ValueError(
-                f'frontier must be True, False or "auto", got {frontier!r}'
-            )
         if cache_size is not None and cache_size < 1:
             raise ValueError(f"cache_size must be >= 1, got {cache_size}")
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         if min_sample_k is not None:
             if min_sample_k < 1:
                 raise ValueError(f"min_sample_k must be >= 1, got {min_sample_k}")
@@ -230,7 +143,6 @@ FrontierKernel` instead of plan-by-plan. ``"auto"`` (default)
         self.vectorized = vectorized
         self.verify = verify
         self.cache_size = cache_size
-        self.workers = workers
         self._cache: OrderedDict[PlanKey, float] = OrderedDict()
         self._runs = 0
         self._cache_hits = 0
@@ -246,28 +158,7 @@ FrontierKernel` instead of plan-by-plan. ``"auto"`` (default)
             self._verify_remaining = float(AUTO_VERIFY_RUNS)
         else:
             self._verify_remaining = 0.0
-        self._pool = None
-        self._pool_broken = False
-        self._pool_failures = 0
         self._metrics = metrics
-        self.frontier = frontier
-        self._frontier_kernel: Optional[FrontierKernel] = None
-        # The frontier path is a member of the kernel family: it only
-        # runs while the scalar kernel itself is trusted.
-        self._frontier_enabled = (
-            frontier in (True, "auto") and self._kernel_enabled
-        )
-        self._frontier_runs = 0
-        self._frontier_batches = 0
-        self._frontier_fallbacks = 0
-        if verify is True:
-            self._frontier_verify_remaining = float("inf")
-        elif verify is None and frontier in (True, "auto"):
-            # Spot-check in *both* trusting modes: "auto" so it can fall
-            # back, True so a disagreement raises instead of lying.
-            self._frontier_verify_remaining = float(FRONTIER_VERIFY_RUNS)
-        else:
-            self._frontier_verify_remaining = 0.0
 
     def _m_inc(self, name: str, value: float = 1.0, **labels: object) -> None:
         if self._metrics is not None:
@@ -310,45 +201,6 @@ FrontierKernel` instead of plan-by-plan. ``"auto"`` (default)
     def fallbacks(self) -> int:
         """Kernel simulations abandoned to the reference path (auto mode)."""
         return self._fallbacks
-
-    @property
-    def frontier_runs(self) -> int:
-        """Simulations costed by the plans-as-columns frontier kernel."""
-        return self._frontier_runs
-
-    @property
-    def frontier_batches(self) -> int:
-        """Deduplicated batches the frontier kernel costed in one pass."""
-        return self._frontier_batches
-
-    @property
-    def frontier_fallbacks(self) -> int:
-        """Frontier batches abandoned to the per-plan path.
-
-        Non-zero means the batch fast path stopped being used --
-        unsupported scoring function, a spot-check disagreement, or an
-        internal kernel error. Results stay identical (the per-plan path
-        takes over); only wall-clock suffers, so the degrade is counted
-        here, labelled in ``repro_estimator_frontier_fallbacks_total``,
-        and surfaced in ``NCOptimizer`` plan notes.
-        """
-        return self._frontier_fallbacks
-
-    @property
-    def frontier_active(self) -> bool:
-        """Whether eligible batches currently take the frontier path."""
-        return self._frontier_enabled and self._kernel_enabled
-
-    @property
-    def pool_failures(self) -> int:
-        """Worker-pool batches abandoned to serial simulation.
-
-        Non-zero means the configured ``workers`` parallelism silently
-        stopped paying off (results stay identical; only wall-clock
-        suffers). Surfaced in ``NCOptimizer`` plan notes and the CLI so
-        a degraded run is visible, not just slower.
-        """
-        return self._pool_failures
 
     @property
     def kernel_active(self) -> bool:
@@ -408,19 +260,16 @@ FrontierKernel` instead of plan-by-plan. ``"auto"`` (default)
         self._m_inc("repro_estimator_runs_total", path="reference")
         return middleware.stats.total_cost() * self.scale
 
-    def _ensure_index(self) -> SampleIndex:
+    def _kernel_cost(
+        self, depths: tuple[float, ...], schedule: tuple[int, ...]
+    ) -> float:
         if self._index is None:
             self._index = SampleIndex(
                 self.sample,
                 self.cost_model,
                 no_wild_guesses=self.no_wild_guesses,
             )
-        return self._index
-
-    def _kernel_cost(
-        self, depths: tuple[float, ...], schedule: tuple[int, ...]
-    ) -> float:
-        index = self._ensure_index()
+        index = self._index
         try:
             cost = (
                 index.simulate_cost(self.fn, self.sample_k, depths, schedule)
@@ -466,186 +315,6 @@ FrontierKernel` instead of plan-by-plan. ``"auto"`` (default)
         return self._reference_cost(depths, schedule)
 
     # ------------------------------------------------------------------
-    # Frontier fan-out (plans-as-columns batch path)
-    # ------------------------------------------------------------------
-
-    def _frontier_disable(self, reason: str) -> None:
-        self._frontier_enabled = False
-        self._frontier_fallbacks += 1
-        self._m_inc(
-            "repro_estimator_frontier_fallbacks_total", reason=reason
-        )
-
-    def _ensure_frontier(self) -> Optional[FrontierKernel]:
-        if self._frontier_kernel is None:
-            kernel = FrontierKernel(self._ensure_index())
-            if not kernel.supports(self.fn):
-                self._frontier_disable("unsupported_fn")
-                return None
-            self._frontier_kernel = kernel
-        return self._frontier_kernel
-
-    def _frontier_verify(
-        self,
-        index: SampleIndex,
-        plan: PlanKey,
-        outcome: Union[SimulationCounts, Exception],
-    ) -> bool:
-        """Does ``outcome`` match a fresh scalar-kernel run of ``plan``?"""
-        depths, schedule = plan
-        try:
-            want = index.simulate(self.fn, self.sample_k, depths, schedule)
-        except (ReproError, ValueError) as exc:
-            return (
-                isinstance(outcome, Exception)
-                and type(outcome) is type(exc)
-                and str(outcome) == str(exc)
-            )
-        return (
-            isinstance(outcome, SimulationCounts)
-            and outcome.sorted_counts == want.sorted_counts
-            and outcome.random_counts == want.random_counts
-        )
-
-    def _frontier_costs(self, fresh: list[PlanKey]) -> Optional[list[float]]:
-        """Cost ``fresh`` in one frontier pass; ``None`` = do it serially.
-
-        Serial-order semantics are preserved exactly: duplicate handling
-        happened upstream, the first failing plan raises its per-plan
-        exception with run counters covering the serial prefix up to and
-        including it, and -- like the serial loop, which aborts before
-        its cache writes -- a failing batch memoizes nothing.
-        """
-        if (
-            not self._frontier_enabled
-            or not self._kernel_enabled
-            or len(fresh) < FRONTIER_MIN_BATCH
-        ):
-            return None
-        kernel = self._ensure_frontier()
-        if kernel is None:
-            return None
-        # The scalar kernel's own auto-verification happens exactly as in
-        # serial mode: peel the still-unverified head through the serial
-        # path (which cross-checks against the reference engine there).
-        peel = int(min(self._verify_remaining, len(fresh)))
-        head = [self._simulate(d, s) for d, s in fresh[:peel]]
-        tail = fresh[peel:]
-        if not tail:
-            return head
-        if not self._kernel_enabled:
-            # The peel tripped the kernel-vs-reference cross-check; the
-            # kernel family (frontier included) is no longer trusted.
-            return head + [self._simulate(d, s) for d, s in tail]
-        try:
-            outcomes = kernel.simulate_frontier(self.fn, self.sample_k, tail)
-        except Exception:
-            if self.frontier is True:
-                raise
-            self._frontier_disable("internal_error")
-            return head + [self._simulate(d, s) for d, s in tail]
-        ncheck = int(min(self._frontier_verify_remaining, len(tail)))
-        if ncheck:
-            self._frontier_verify_remaining -= ncheck
-            index = self._ensure_index()
-            for plan, outcome in zip(tail[:ncheck], outcomes[:ncheck]):
-                if not self._frontier_verify(index, plan, outcome):
-                    if self.frontier is True:
-                        raise KernelMismatchError(
-                            f"frontier outcome {outcome!r} disagrees with "
-                            f"the scalar kernel for plan depths="
-                            f"{plan[0]} schedule={plan[1]}"
-                        )
-                    self._frontier_disable("verify_mismatch")
-                    return head + [self._simulate(d, s) for d, s in tail]
-        costs: list[float] = []
-        for i, outcome in enumerate(outcomes):
-            if isinstance(outcome, Exception):
-                self._runs += i + 1
-                self._frontier_runs += i + 1
-                self._m_inc(
-                    "repro_estimator_runs_total",
-                    float(i + 1),
-                    path="frontier",
-                )
-                raise outcome
-            costs.append(outcome.cost(self.cost_model) * self.scale)
-        self._runs += len(tail)
-        self._frontier_runs += len(tail)
-        self._frontier_batches += 1
-        self._m_inc(
-            "repro_estimator_runs_total", float(len(tail)), path="frontier"
-        )
-        self._m_inc("repro_estimator_frontier_batches_total")
-        return head + costs
-
-    # ------------------------------------------------------------------
-    # Parallel fan-out
-    # ------------------------------------------------------------------
-
-    def _parallel_costs(self, plans: list[PlanKey]) -> Optional[list[float]]:
-        """Simulate ``plans`` on the process pool; ``None`` = do it serially."""
-        if (
-            self.workers is None
-            or self.workers < 2
-            or self._pool_broken
-            or not self._kernel_enabled
-            or self._verify_remaining > 0
-            or len(plans) < _PARALLEL_MIN_BATCH
-        ):
-            return None
-        try:
-            if self._pool is None:
-                from concurrent.futures import ProcessPoolExecutor
-
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_pool_init,
-                    initargs=(
-                        self.sample.matrix,
-                        self.cost_model,
-                        self.no_wild_guesses,
-                        self.fn,
-                        self.sample_k,
-                    ),
-                )
-            costs = list(self._pool.map(_pool_simulate, plans))
-        except (ReproError, ValueError):
-            raise
-        except Exception as exc:
-            # Unpicklable scoring function, broken pool, sandboxed
-            # environment without fork support... fall back to serial
-            # in-process simulation permanently for this estimator.
-            # Results are unaffected; only the advertised parallelism is
-            # lost -- so degrade loudly: count it, feed the metrics
-            # ledger, and warn once instead of silently running slow.
-            self._pool_broken = True
-            self._pool_failures += 1
-            self._m_inc("repro_estimator_pool_failures_total")
-            self.close()
-            warnings.warn(
-                f"estimator worker pool failed ({type(exc).__name__}: {exc}); "
-                f"falling back to serial simulation for this estimator "
-                f"(workers={self.workers} requested)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None
-        self._runs += len(plans)
-        self._kernel_runs += len(plans)
-        self._m_inc(
-            "repro_estimator_runs_total", float(len(plans)), path="kernel"
-        )
-        return [c * self.scale for c in costs]
-
-    def close(self) -> None:
-        """Shut down the worker pool, if one was started."""
-        pool = self._pool
-        self._pool = None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    # ------------------------------------------------------------------
     # Public estimation API
     # ------------------------------------------------------------------
 
@@ -654,82 +323,22 @@ FrontierKernel` instead of plan-by-plan. ``"auto"`` (default)
         depths: Sequence[float],
         schedule: Optional[Sequence[int]] = None,
     ) -> float:
-        """Estimated full-database cost of the SR/G plan ``(Delta, H)``."""
-        return self.estimate_plans([(depths, schedule)])[0]
+        """Estimated full-database cost of the SR/G plan ``(Delta, H)``.
 
-    def estimate_frontier(
-        self,
-        depth_list: Sequence[Sequence[float]],
-        schedule: Optional[Sequence[int]] = None,
-    ) -> list[float]:
-        """Costs of a frontier of depth vectors under one shared schedule.
-
-        Exactly equivalent to ``[self.estimate(d, schedule) for d in
-        depth_list]`` -- same costs, same memoization, same ``runs``
-        accounting -- which is what lets the search schemes submit whole
-        frontiers without changing their selection semantics. Large
-        deduplicated batches are costed in one plans-as-columns pass on
-        the :class:`~repro.optimizer.frontier.FrontierKernel` (see the
-        ``frontier`` constructor argument).
+        ``schedule`` defaults to the identity order. A memoized plan
+        counts as a cache hit and costs nothing; an uncached one is one
+        simulation run on the current execution path.
         """
-        return self.estimate_plans([(d, schedule) for d in depth_list])
-
-    def estimate_many(
-        self,
-        depth_list: Sequence[Sequence[float]],
-        schedule: Optional[Sequence[int]] = None,
-    ) -> list[float]:
-        """Back-compat alias of :meth:`estimate_frontier`."""
-        return self.estimate_frontier(depth_list, schedule)
-
-    def estimate_plans(
-        self,
-        plans: Sequence[
-            tuple[Sequence[float], Optional[Sequence[int]]]
-        ],
-    ) -> list[float]:
-        """Costs of a batch of full ``(depths, schedule)`` plans.
-
-        Duplicates within the batch are simulated once (later occurrences
-        count as cache hits, as in a serial loop); uncached plans run on
-        the configured fast path, fanned out to the worker pool when one
-        is available and the batch is large enough.
-        """
-        default = tuple(range(self.sample.m))
-        keys: list[PlanKey] = []
-        for depths, schedule in plans:
-            keys.append(
-                self._key(depths, schedule if schedule is not None else default)
-            )
-        results: list[Optional[float]] = [None] * len(keys)
-        pending: OrderedDict[PlanKey, list[int]] = OrderedDict()
-        for i, key in enumerate(keys):
-            cached = self._cache_get(key)
-            if cached is not None:
-                self._cache_hits += 1
-                self._m_inc("repro_estimator_cache_total", event="hit")
-                results[i] = cached
-            elif key in pending:
-                self._cache_hits += 1
-                self._m_inc("repro_estimator_cache_total", event="hit")
-                pending[key].append(i)
-            else:
-                self._cache_misses += 1
-                self._m_inc("repro_estimator_cache_total", event="miss")
-                pending[key] = [i]
-        if pending:
-            fresh = list(pending.keys())
-            costs = self._parallel_costs(fresh)
-            if costs is None:
-                costs = self._frontier_costs(fresh)
-            if costs is None:
-                costs = [self._simulate(d, s) for d, s in fresh]
-            for key, cost in zip(fresh, costs):
-                self._cache_put(key, cost)
-                for i in pending[key]:
-                    results[i] = cost
-        out: list[float] = []
-        for cost in results:
-            assert cost is not None
-            out.append(cost)
-        return out
+        key = self._key(
+            depths, schedule if schedule is not None else range(self.sample.m)
+        )
+        cached = self._cache_get(key)
+        if cached is not None:
+            self._cache_hits += 1
+            self._m_inc("repro_estimator_cache_total", event="hit")
+            return cached
+        self._cache_misses += 1
+        self._m_inc("repro_estimator_cache_total", event="miss")
+        cost = self._simulate(*key)
+        self._cache_put(key, cost)
+        return cost

@@ -176,6 +176,10 @@ class ServerConfig:
             raise ValueError(
                 f"time_scale must be >= 0, got {self.time_scale}"
             )
+        if self.sample_size < 1:
+            raise ValueError(
+                f"sample_size must be >= 1, got {self.sample_size}"
+            )
 
 
 @dataclass
@@ -280,7 +284,7 @@ class QueryServer:
         self.breakers = breakers_for(cost_model.m, self.config.breaker_policy)
         self._rng = derive_rng(self.config.seed)
         # The planner joins the server's shared metrics ledger so
-        # estimator counters (runs, cache, frontier batches/fallbacks)
+        # estimator counters (runs, cache hits, kernel fallbacks)
         # appear in stats() next to the serving-layer ones.
         self._planner = NC(
             sample_size=self.config.sample_size,

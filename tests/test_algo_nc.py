@@ -26,6 +26,10 @@ class TestFixedPlan:
         with pytest.raises(ValueError):
             NC(plan=plan, planner=lambda mw, fn, k: plan)
 
+    def test_sample_size_validated(self):
+        with pytest.raises(ValueError, match="sample_size"):
+            NC(sample_size=0)
+
 
 class TestPlannerHook:
     def test_custom_planner_invoked(self, small_uniform):

@@ -150,6 +150,40 @@ class TestFaultFlags:
         assert args.fault_seed == 0
 
 
+class TestBadNumericFlags:
+    """Invalid numeric flags fail fast with a one-line error, exit 2."""
+
+    QUERY = ["query", "SELECT * FROM r ORDER BY min(a, b) STOP AFTER 3"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (QUERY + ["--n", "0"], "at least one object"),
+            (["serve", "--n", "0"], "at least one object"),
+            (QUERY + ["--cr", "-1"], "cr[0] must be >= 0"),
+            (QUERY + ["--cs", "-1"], "cs[0] must be >= 0"),
+            (["serve", "--cr", "-1"], "cr[0] must be >= 0"),
+            (
+                ["optimize", "--scenario", "S1", "--sample-size", "0"],
+                "sample_size must be >= 1",
+            ),
+        ],
+        ids=[
+            "query-n",
+            "serve-n",
+            "query-cr",
+            "query-cs",
+            "serve-cr",
+            "optimize-sample-size",
+        ],
+    )
+    def test_rejected_with_one_line_error(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

@@ -121,17 +121,6 @@ class TestEstimatorCaching:
         assert info["hits"] == 1 and info["misses"] == 2
         assert info["size"] == 2
 
-    def test_estimate_many_matches_serial_loop(self):
-        sample = dummy_uniform_sample(2, 50, seed=0)
-        plans = [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (0.5, 0.5)]
-        serial = CostEstimator(sample, Avg(2), 5, 500, CostModel.uniform(2))
-        batched = CostEstimator(sample, Avg(2), 5, 500, CostModel.uniform(2))
-        expected = [serial.estimate(p) for p in plans]
-        got = batched.estimate_many(plans)
-        assert got == expected
-        assert batched.runs == serial.runs == 3
-        assert batched.cache_hits == serial.cache_hits == 1
-
 
 class TestEstimatorFidelity:
     def test_relative_order_of_plans_predicted(self):

@@ -1,5 +1,7 @@
 """Tests for the NCOptimizer facade and the SRGPlan record."""
 
+import itertools
+
 import pytest
 
 from repro.data.generators import uniform
@@ -7,7 +9,7 @@ from repro.optimizer.optimizer import NCOptimizer
 from repro.optimizer.plan import SRGPlan
 from repro.optimizer.sampling import dummy_uniform_sample, sample_from_dataset
 from repro.optimizer.schedule import ScheduleOptimizer
-from repro.optimizer.search import NaiveGrid, Strategies
+from repro.optimizer.search import HillClimb, NaiveGrid, Strategies
 from repro.scoring.functions import Avg, Min
 from repro.sources.cost import CostModel
 
@@ -102,3 +104,53 @@ class TestNCOptimizerPlan:
         assert ratio_min < 0.8, "min: NC should save substantially over TA"
         assert ratio_avg < 1.05, "avg: NC should at least match TA"
         assert ratio_min < ratio_avg, "savings larger in the asymmetric case"
+
+
+class TestOptimizerNotes:
+    def test_plan_notes_carry_phase_times(self):
+        ticks = itertools.count()
+        optimizer = NCOptimizer(
+            scheme=NaiveGrid(resolution=6),
+            clock=lambda: float(next(ticks)),
+        )
+        sample = dummy_uniform_sample(2, 60, seed=3)
+        plan = optimizer.plan(sample, Avg(2), 5, 600, CostModel.uniform(2))
+        assert set(plan.notes["phase_seconds"]) == {
+            "schedule",
+            "delta_search",
+            "h_optimization",
+        }
+
+    def test_trace_timeline_renders_the_optimizer_summary(self):
+        from repro.obs.timeline import format_timeline
+
+        events = [
+            {"event": "phase", "phase": "schedule", "tick": 0},
+            {
+                "event": "phase",
+                "phase": "done",
+                "tick": 5,
+                "phase_seconds": {
+                    "schedule": 0.0001,
+                    "delta_search": 0.0123,
+                    "h_optimization": 0.0004,
+                },
+            },
+            {"event": "access", "predicate": 0, "kind": "sorted", "tick": 1},
+        ]
+        rendered = format_timeline(events)
+        assert "optimizer: phases schedule=0.0001s" in rendered
+        assert "delta_search=0.0123s" in rendered
+
+    def test_warm_start_threads_through_plan(self):
+        optimizer = NCOptimizer(scheme=HillClimb(seed=7))
+        sample = dummy_uniform_sample(2, 60, seed=3)
+        plan = optimizer.plan(
+            sample,
+            Avg(2),
+            5,
+            600,
+            CostModel.uniform(2),
+            warm_start=[(0.4, 0.4)],
+        )
+        assert plan.notes["warm_started"] is True

@@ -281,33 +281,6 @@ class TestVectorizedSwitch:
             self._estimator(vectorized="yes")
 
 
-class TestParallelWorkers:
-    def test_worker_batch_matches_serial(self):
-        plans = [(round(0.05 * i, 2), round(1.0 - 0.05 * i, 2)) for i in range(12)]
-        serial = CostEstimator(
-            dummy_uniform_sample(2, 60, seed=3),
-            Avg(2),
-            5,
-            600,
-            CostModel.uniform(2),
-            verify=False,
-        )
-        parallel = CostEstimator(
-            dummy_uniform_sample(2, 60, seed=3),
-            Avg(2),
-            5,
-            600,
-            CostModel.uniform(2),
-            verify=False,
-            workers=2,
-        )
-        try:
-            assert parallel.estimate_many(plans) == serial.estimate_many(plans)
-            assert parallel.runs == serial.runs
-        finally:
-            parallel.close()
-
-
 class TestBatchEvaluation:
     @settings(max_examples=40, deadline=None)
     @given(instances(max_m=4))

@@ -121,6 +121,44 @@ class TestHillClimb:
         assert len(result.depths) == 3
 
 
+class TestCoarseToFine:
+    def test_validation(self):
+        with pytest.raises(OptimizationError):
+            NaiveGrid(resolution=5, coarse_resolution=5)
+        with pytest.raises(OptimizationError):
+            NaiveGrid(resolution=5, coarse_resolution=1)
+
+    def test_refines_the_coarse_optimum(self):
+        coarse_only = NaiveGrid(resolution=3).search(make_estimator(fn=Avg(2)))
+        scheme = NaiveGrid(resolution=9, coarse_resolution=3)
+        refined = scheme.search(make_estimator(fn=Avg(2)))
+        full = NaiveGrid(resolution=9).search(make_estimator(fn=Avg(2)))
+        # The coarse best sits on the fine grid, so refinement can only
+        # improve on it -- and never beats the exhaustive fine scan.
+        assert refined.cost <= coarse_only.cost
+        assert refined.cost >= full.cost
+        assert "coarse=3" in scheme.describe()
+
+    def test_prices_fewer_plans_than_full_grid(self):
+        fine = make_estimator(fn=Avg(2))
+        NaiveGrid(resolution=9).search(fine)
+        two_stage = make_estimator(fn=Avg(2))
+        NaiveGrid(resolution=9, coarse_resolution=3).search(two_stage)
+        assert two_stage.runs < fine.runs
+
+
+class TestWarmStarts:
+    def test_warm_starts_only_add_evaluations(self):
+        plain_result = HillClimb(seed=7).search(make_estimator(fn=Avg(2)))
+        warm_result = HillClimb(seed=7).search(
+            make_estimator(fn=Avg(2)),
+            warm_starts=[plain_result.depths, (2.0, -1.0)],
+        )
+        # Out-of-range warm points are clipped, not rejected; canonical
+        # starts still run, so the warm search can only do better.
+        assert warm_result.cost <= plain_result.cost
+
+
 class TestSchemeAdaptivity:
     def test_min_function_yields_focused_depths(self):
         """Example 11 / Figure 11(b): under F=min (scenario S2) the optimum

@@ -120,6 +120,12 @@ class TestAdmission:
         assert server.open_sessions == 0
         assert server.submit(MIN_Q)
 
+    def test_empty_planning_sample_rejected_at_config(self):
+        # An empty planning sample makes every query raise and keep its
+        # admission slot, until the server refuses everything.
+        with pytest.raises(ValueError, match="sample_size"):
+            ServerConfig(sample_size=0)
+
 
 class TestBudgets:
     def test_budget_degrades_to_partial_by_default(self):
@@ -161,6 +167,38 @@ class TestParallelServing:
         assert [e.obj for e in warm.result.ranking] == [
             e.obj for e in cold.result.ranking
         ]
+
+
+class TestPlanMemory:
+    MIN_Q_K3 = "SELECT * FROM r ORDER BY min(a, b) STOP AFTER 3"
+
+    def test_exact_repeat_reuses_the_remembered_plan(self):
+        server = make_server()
+        cold = server.query(MIN_Q)
+        warm = server.query(MIN_Q)
+        assert server.stats()["warm_start_hits"] == 1
+        assert server.stats()["plan_memory_entries"] == 1
+        counters = server.stats()["metrics"]["counters"]
+        assert counters['repro_server_warm_start_total{kind="reuse"}'] == 1
+        # Reuse must not change the answer (planning is deterministic).
+        assert [e.obj for e in warm.result.ranking] == [
+            e.obj for e in cold.result.ranking
+        ]
+
+    def test_same_expression_different_k_warm_climbs(self):
+        server = make_server()
+        server.query(MIN_Q)
+        server.query(self.MIN_Q_K3)
+        counters = server.stats()["metrics"]["counters"]
+        assert counters['repro_server_warm_start_total{kind="climb"}'] == 1
+        assert server.stats()["plan_memory_entries"] == 2
+
+    def test_plan_memory_can_be_disabled(self):
+        server = make_server(plan_memory=False)
+        server.query(MIN_Q)
+        server.query(MIN_Q)
+        assert server.stats()["warm_start_hits"] == 0
+        assert server.stats()["plan_memory_entries"] == 0
 
 
 class TestStats:
